@@ -190,7 +190,7 @@ def test_binary_columns_wire_size(output_dir):
     )
 
     payloads = [fleet_result.meta_payload(), *fleet_result.cell_payloads()]
-    # Matches the service's _write_stream framing: one JSON line per cell.
+    # Matches the service's NDJSON framing (server._ndjson): one JSON line per cell.
     ndjson_bytes = sum(
         len((json.dumps(payload) + "\n").encode("utf-8"))
         for payload in payloads

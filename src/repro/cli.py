@@ -217,6 +217,7 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
     try:
         status, fleet_result = client.run_campaign(request, binary=args.binary)
     except (ServiceError, OSError, TimeoutError) as error:
+        client.close()
         print(f"remote fleet campaign failed: {error}", file=sys.stderr)
         return 1
     result = fleet_experiment_result(
@@ -239,6 +240,8 @@ def _command_fleet_remote(args: argparse.Namespace) -> int:
         stats = client.stats()
     except (ServiceError, OSError, TimeoutError):
         stats = None
+    finally:
+        client.close()
     if stats:
         cache = stats.get("cache", {})
         batcher = stats.get("batcher", {})
@@ -723,9 +726,9 @@ def _command_top(args: argparse.Namespace) -> int:
     # Imported lazily so plain experiment runs never touch the service layer.
     from repro.service.client import AllocationClient, ServiceError, run_top
 
-    client = AllocationClient(host=args.host, port=args.port)
     try:
-        return run_top(client, interval_s=args.interval, once=args.once)
+        with AllocationClient(host=args.host, port=args.port) as client:
+            return run_top(client, interval_s=args.interval, once=args.once)
     except (ServiceError, OSError, TimeoutError) as error:
         print(f"repro top failed: {error}", file=sys.stderr)
         return 1

@@ -90,6 +90,7 @@ engine is the fast path for grid-shaped workloads.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -131,6 +132,20 @@ _TIE_TOLERANCE_OBJECTIVE = 1e-10
 _SHARED_ENGINES: "OrderedDict[tuple, BatchAllocator]" = OrderedDict()
 _SHARED_ENGINES_LOCK = threading.Lock()
 _MAX_SHARED_ENGINES = 32
+
+
+def _reinit_shared_engines_lock() -> None:
+    """Give a newly forked child a fresh registry lock.
+
+    Campaign workers are forked from a threaded server; a lock held by
+    another thread at that moment would stay held forever in the child.
+    """
+    global _SHARED_ENGINES_LOCK
+    _SHARED_ENGINES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_shared_engines_lock)
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,12 @@ import contextlib
 import contextvars
 import json
 import logging
+import os
 import re
 import secrets
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional
@@ -127,6 +129,7 @@ class TraceRecorder:
         self.max_traces = int(max_traces)
         self.max_spans_per_trace = int(max_spans_per_trace)
         self._lock = threading.Lock()
+        _RECORDERS.add(self)
         self._traces: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
         # Monotonic arrival sequence + a bounded buffer of recent records
         # so a persistence task can drain "everything since my last seq"
@@ -184,6 +187,27 @@ class TraceRecorder:
     def __len__(self) -> int:
         with self._lock:
             return len(self._traces)
+
+
+#: Every live recorder, so a forked child can replace their locks.
+_RECORDERS: "weakref.WeakSet[TraceRecorder]" = weakref.WeakSet()
+
+
+def _reinit_recorder_locks() -> None:
+    """Give each recorder a fresh lock in a newly forked child.
+
+    Campaign workers are forked from a thread of a live server.  If the
+    event loop was filing a request span at that moment, the child would
+    inherit the recorder lock held by a thread that does not exist there,
+    and hang on its first span.  The child's copy of the records is never
+    read back, so a half-filed record is harmless.
+    """
+    for recorder in list(_RECORDERS):
+        recorder._lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reinit_recorder_locks)
 
 
 _RECORDER = TraceRecorder()

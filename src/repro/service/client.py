@@ -1,11 +1,13 @@
 """Python client for the allocation service (stdlib ``http.client`` only).
 
 :class:`AllocationClient` is a small blocking client for the JSON-over-HTTP
-protocol of :mod:`repro.service.server`: one connection per call, typed
-requests in, typed responses out -- including fleet campaigns submitted
-with ``POST /campaign`` and streamed back as chunked NDJSON columns.  It
-doubles as a command-line tool for shell scripting (the CI smoke test
-drives a live server with it)::
+protocol of :mod:`repro.service.server`: typed requests in, typed
+responses out -- including fleet campaigns submitted with ``POST
+/campaign`` and streamed back as chunked NDJSON columns.  Each thread
+that uses a client keeps one persistent HTTP/1.1 connection to the
+server and sends all of its calls over it, so one client is safe to
+share across threads.  It doubles as a command-line tool for shell
+scripting (the CI smoke test drives a live server with it)::
 
     python -m repro.service.client --port 8734 health
     python -m repro.service.client --port 8734 allocate --budget 5 --alpha 1
@@ -38,9 +40,12 @@ server's span logs and ``GET /trace/<id>``; the id used last is kept on
 from __future__ import annotations
 
 import argparse
+import contextlib
 import http.client
 import json
+import select
 import sys
+import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -86,8 +91,32 @@ class ServiceError(RuntimeError):
         return None
 
 
+def _dropped(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive connection can no longer be used.
+
+    An idle socket with something to read has been closed by the server
+    (it sends nothing unasked), as has one that is gone altogether.
+    """
+    sock = connection.sock
+    if sock is None:
+        return True
+    try:
+        if hasattr(select, "poll"):
+            poller = select.poll()
+            poller.register(sock, select.POLLIN)
+            return bool(poller.poll(0))
+        return bool(select.select([sock], [], [], 0)[0])
+    except (OSError, ValueError):
+        return True
+
+
 class AllocationClient:
-    """Blocking client bound to one server address."""
+    """Blocking client bound to one server address.
+
+    Every thread gets its own persistent connection, opened on its first
+    call and reused while the server keeps it open.  :meth:`close` (or
+    leaving a ``with`` block) closes the calling thread's connection.
+    """
 
     def __init__(
         self,
@@ -105,6 +134,21 @@ class AllocationClient:
         self.traceparent = traceparent
         #: Trace id of the most recent request (whatever header was sent).
         self.last_trace_id: Optional[str] = None
+        #: Per-thread slot holding that thread's idle connection.
+        self._local = threading.local()
+
+    def close(self) -> None:
+        """Close the calling thread's connection (the next call reopens)."""
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "AllocationClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # --- transport --------------------------------------------------------------
     def _trace_headers(self) -> Dict[str, str]:
@@ -121,6 +165,89 @@ class AllocationClient:
             self.last_trace_id = context.trace_id
         return {"traceparent": header}
 
+    @contextlib.contextmanager
+    def _request(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]] = None,
+        extra_headers: Optional[Dict[str, str]] = None,
+    ) -> Iterator[http.client.HTTPResponse]:
+        """Send one request; yield its 200 response for the caller to read.
+
+        This is the client's only transport.  It takes the thread's
+        connection out of its slot (opening one if the slot is empty or
+        the server closed the idle one) and puts it back only once the
+        response was read to its end and the server keeps the connection
+        open.  A call made while another response is still being read,
+        or after one was abandoned, therefore opens a fresh connection.
+
+        A *reused* connection that fails before any byte of the response
+        arrives is retried once on a new connection: the server closes a
+        connection without answering only while it waits for a request
+        head, so the request was never read.  On any other error the
+        connection is closed, never reused.  A non-200 answer raises
+        :class:`ServiceError` carrying its decoded body.
+        """
+        encoded = None if body is None else json.dumps(body).encode("utf-8")
+        headers = self._trace_headers()
+        if encoded:
+            headers["Content-Type"] = "application/json"
+        if extra_headers:
+            headers.update(extra_headers)
+        connection = getattr(self._local, "connection", None)
+        self._local.connection = None
+        reused = connection is not None and not _dropped(connection)
+        if not reused:
+            if connection is not None:
+                connection.close()
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+        try:
+            try:
+                connection.request(method, path, body=encoded, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
+                if not reused:
+                    raise
+                connection.close()
+                connection = http.client.HTTPConnection(
+                    self.host, self.port, timeout=self.timeout_s
+                )
+                connection.request(method, path, body=encoded, headers=headers)
+                response = connection.getresponse()
+            if response.status != 200:
+                raw = response.read()
+                try:
+                    payload: Any = json.loads(raw.decode("utf-8")) if raw else None
+                except (ValueError, UnicodeDecodeError):
+                    payload = raw.decode("utf-8", "replace")
+                raise ServiceError(response.status, payload)
+            yield response
+        except ServiceError:
+            self._checkin(connection, response)
+            raise
+        except BaseException:
+            connection.close()
+            raise
+        self._checkin(connection, response)
+
+    def _checkin(
+        self,
+        connection: http.client.HTTPConnection,
+        response: http.client.HTTPResponse,
+    ) -> None:
+        """Return a connection to the slot if it can carry another call."""
+        if (
+            response.isclosed()
+            and not response.will_close
+            and getattr(self._local, "connection", None) is None
+        ):
+            self._local.connection = connection
+        else:
+            connection.close()
+
     def _call(
         self,
         method: str,
@@ -128,44 +255,10 @@ class AllocationClient:
         body: Optional[Dict[str, Any]] = None,
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> Any:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            encoded = None if body is None else json.dumps(body).encode("utf-8")
-            headers = self._trace_headers()
-            if encoded:
-                headers["Content-Type"] = "application/json"
-            if extra_headers:
-                headers.update(extra_headers)
-            connection.request(method, path, body=encoded, headers=headers)
-            response = connection.getresponse()
+        """One request whose 200 answer is a JSON document."""
+        with self._request(method, path, body, extra_headers) as response:
             raw = response.read()
-            payload = json.loads(raw.decode("utf-8")) if raw else None
-            if response.status != 200:
-                raise ServiceError(response.status, payload)
-            return payload
-        finally:
-            connection.close()
-
-    def _call_text(self, method: str, path: str) -> str:
-        """Like :meth:`_call` for endpoints answering plain text."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request(method, path, headers=self._trace_headers())
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                try:
-                    payload: Any = json.loads(raw.decode("utf-8"))
-                except (ValueError, UnicodeDecodeError):
-                    payload = raw.decode("utf-8", "replace")
-                raise ServiceError(response.status, payload)
-            return raw.decode("utf-8")
-        finally:
-            connection.close()
+        return json.loads(raw.decode("utf-8")) if raw else None
 
     # --- typed API --------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -185,7 +278,8 @@ class AllocationClient:
         label plus synthesized ``repro_cluster_*`` families).
         """
         suffix = "" if scope == "self" else f"?scope={scope}"
-        return self._call_text("GET", f"/v1/metrics{suffix}")
+        with self._request("GET", f"/v1/metrics{suffix}") as response:
+            return response.read().decode("utf-8")
 
     def trace(self, trace_id: str) -> Dict[str, Any]:
         """``GET /v1/trace/<id>``: the recorded spans of one trace."""
@@ -301,28 +395,15 @@ class AllocationClient:
 
         Yields the meta payload first, then one payload per (scenario,
         policy) cell, as the chunks arrive -- the whole grid is never
-        buffered as one JSON document on either side.
+        buffered as one JSON document on either side.  The stream holds
+        its own connection: it is reused afterwards only if the stream
+        was read to the end.
         """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request(
-                "GET",
-                f"/v1/campaign/{campaign_id}/columns",
-                headers=self._trace_headers(),
-            )
-            response = connection.getresponse()
-            if response.status != 200:
-                raw = response.read()
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-                raise ServiceError(response.status, payload)
+        with self._request("GET", f"/v1/campaign/{campaign_id}/columns") as response:
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line.decode("utf-8"))
-        finally:
-            connection.close()
 
     def campaign_columns_binary(
         self, campaign_id: str, dtype: str = "f8", codec: str = "zlib"
@@ -336,24 +417,12 @@ class AllocationClient:
         bytes on the wire for no encode cost).  The returned bytes decode
         with :meth:`repro.simulation.fleet.FleetResult.from_binary`.
         """
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-        try:
-            connection.request(
-                "GET",
-                f"/v1/campaign/{campaign_id}/columns"
-                f"?format=binary&dtype={dtype}&codec={codec}",
-                headers=self._trace_headers(),
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            if response.status != 200:
-                payload = json.loads(raw.decode("utf-8")) if raw else None
-                raise ServiceError(response.status, payload)
-            return raw
-        finally:
-            connection.close()
+        with self._request(
+            "GET",
+            f"/v1/campaign/{campaign_id}/columns"
+            f"?format=binary&dtype={dtype}&codec={codec}",
+        ) as response:
+            return response.read()
 
     def campaign_result(
         self,
@@ -802,12 +871,17 @@ def _campaign_command(client: AllocationClient, args: argparse.Namespace) -> Any
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Client CLI entry point; prints the server's JSON reply."""
     args = build_parser().parse_args(argv)
-    client = AllocationClient(
+    with AllocationClient(
         host=args.host,
         port=args.port,
         timeout_s=args.timeout,
         traceparent=args.traceparent,
-    )
+    ) as client:
+        return _run_command(client, args)
+
+
+def _run_command(client: AllocationClient, args: argparse.Namespace) -> int:
+    """Run one parsed CLI command; returns the exit code."""
     try:
         if args.command == "health":
             payload: Any = client.health()

@@ -115,8 +115,9 @@ def _child_main(config: FrontendConfig, port: int, index: int) -> None:
     from repro.service.server import serve
 
     configure_logging(config.log_format)
-    # The parent owns process-group signal handling; children exit on the
-    # default SIGTERM and turn SIGINT into a clean KeyboardInterrupt stop.
+    # The parent owns process-group signal handling and stops children
+    # with SIGTERM; serve() turns it (and SIGINT) into a clean stop that
+    # closes this child's campaign workers.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     service = build_service(config)
     try:

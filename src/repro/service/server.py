@@ -11,10 +11,18 @@ Every connection handler awaits :meth:`AllocationService.allocate`; cache
 misses park on the micro-batcher, so *concurrent* requests -- whether they
 arrive on separate connections or inside one ``POST /allocate/batch``
 payload -- coalesce into a handful of vectorized solves.  The HTTP layer is
-a deliberately small HTTP/1.1 subset (one request per connection,
+a deliberately small HTTP/1.1 subset (persistent connections,
 ``Content-Length`` bodies) built on :func:`asyncio.start_server`; no
 third-party framework is required, mirroring how long-running energy
 services keep their protocol surface auditable.
+
+Connections are kept alive: one connection serves requests in a loop
+until the client sends ``Connection: close`` or speaks HTTP/1.0, closes
+its end between requests, or stays idle for :data:`IDLE_TIMEOUT_S`.  A
+request whose head and body do not arrive within :data:`READ_DEADLINE_S`
+is answered 408, and any request that cannot be read is answered and then
+closed, since the stream position is no longer known.  Every response
+that ends its connection says so with ``Connection: close``.
 
 The service API is versioned: every endpoint lives under ``/v1/...`` and
 every ``/v1`` error body is the uniform envelope ``{"error": {"code",
@@ -98,23 +106,25 @@ shell and :mod:`repro.service.client` to talk to it.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 import logging
 import os
 import platform
 import re
+import signal
 import threading
 import time
 from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 from urllib.parse import parse_qsl
@@ -147,6 +157,15 @@ from repro.service.store import (
 #: Largest request body the server will read, in bytes.
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
+#: Seconds a kept-alive connection may wait for the first byte of its
+#: next request before the server closes it.  It never bounds dispatch or
+#: a streamed response.
+IDLE_TIMEOUT_S = 15.0
+
+#: Seconds a request's head and body may take to arrive, counted from its
+#: first byte; a slower client is answered 408 and disconnected.
+READ_DEADLINE_S = 10.0
+
 #: Campaign ids are ``c1``, ``c2``, ... (per process, or store-wide when a
 #: durable store allocates them).
 _CAMPAIGN_PATH = re.compile(
@@ -170,6 +189,20 @@ class CampaignCancelled(Exception):
 
 class _LeaseLost(Exception):
     """Another front-end holds the job's run lease; stand down quietly."""
+
+
+@dataclasses.dataclass
+class HttpStats:
+    """Connection-reuse counters of the HTTP layer.
+
+    Only the event-loop thread updates them.  ``requests`` over
+    ``connections_opened`` is the mean number of requests a connection
+    carried.
+    """
+
+    connections_opened: int = 0
+    requests: int = 0
+    open_connections: int = 0
 
 
 class CampaignJob:
@@ -274,6 +307,8 @@ class AllocationService:
         )
         self.latency = LatencyRecorder()
         self.endpoint_latency = EndpointLatencies()
+        #: Connection counters, kept by :class:`AllocationServer`.
+        self.http = HttpStats()
         #: Per-endpoint latency objectives (``--slo-ms``); burn rates feed
         #: both ``/stats`` and ``/metrics``.
         self.slo = SloTracker(slo_ms)
@@ -433,6 +468,13 @@ class AllocationService:
                 ("", {"status": status}, count)
                 for status, count in sorted(self._campaign_counts().items())
             ],
+        )
+        metrics.callback(
+            "repro_http_connections_total",
+            "HTTP connections accepted; requests over connections is the "
+            "keep-alive reuse ratio.",
+            "counter",
+            lambda: [("", {}, self.http.connections_opened)],
         )
         metrics.callback(
             "repro_request_duration_seconds",
@@ -910,7 +952,7 @@ class AllocationService:
 
         Feeds the per-endpoint latency histograms, the matching SLO
         objective (if any), and the request counter -- called by the HTTP
-        layer once per connection, after the response is written.
+        layer once per request, after its response is written.
         """
         self.endpoint_latency.observe(endpoint, seconds)
         self.slo.observe(endpoint, seconds)
@@ -939,6 +981,7 @@ class AllocationService:
             "batcher": self.batcher.stats.to_json_dict(),
             "latency": self.latency.to_json_dict(),
             "endpoints": self.endpoint_latency.to_json_dict(),
+            "http": dataclasses.asdict(self.http),
             "engines": len(self.registry),
             "pool": self.pool.stats(),
             "campaigns": self._campaign_counts(),
@@ -1061,6 +1104,7 @@ _DEFAULT_ERROR_CODES = {
     400: "bad_request",
     404: "not_found",
     405: "method_not_allowed",
+    408: "request_timeout",
     409: "conflict",
     413: "payload_too_large",
     500: "internal",
@@ -1100,18 +1144,25 @@ class _HttpError(Exception):
         }
 
 
-class _StreamingPayloads:
-    """Dispatch result asking for chunked NDJSON instead of one JSON body."""
+class _Chunked:
+    """Dispatch result streamed with chunked transfer encoding.
 
-    def __init__(self, payloads: Iterator[Dict[str, Any]]) -> None:
-        self.payloads = payloads
+    ``chunks`` are written as produced, one HTTP chunk each; they may be
+    ``memoryview`` slices of shared-memory pages (the zero-copy raw
+    codec), which are written without copying.
+    """
+
+    def __init__(self, content_type: str, chunks: Iterable[Any]) -> None:
+        self.content_type = content_type
+        self.chunks = chunks
 
 
-class _StreamingFrames:
-    """Dispatch result asking for chunked binary frames (octet-stream)."""
-
-    def __init__(self, frames: Iterable[bytes]) -> None:
-        self.frames = frames
+def _ndjson(payloads: Iterable[Dict[str, Any]]) -> _Chunked:
+    """Stream JSON payloads as NDJSON, one line (and chunk) per payload."""
+    return _Chunked(
+        "application/x-ndjson",
+        ((json.dumps(payload) + "\n").encode("utf-8") for payload in payloads),
+    )
 
 
 class _PlainText:
@@ -1133,6 +1184,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
@@ -1140,59 +1192,62 @@ _STATUS_TEXT = {
 }
 
 
-def _encode_response(
+def _response_head(
     status: int,
-    payload: Dict[str, Any],
-    extra_headers: Sequence[str] = (),
+    content_type: str,
+    extra_headers: Sequence[str],
+    close: bool,
+    content_length: Optional[int] = None,
 ) -> bytes:
-    body = json.dumps(payload).encode("utf-8")
-    extras = "".join(f"{header}\r\n" for header in extra_headers)
-    head = (
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{extras}"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-    return head + body
+    """Build one response head; ``content_length=None`` means chunked.
+
+    This is the only place a response says ``Connection: close``, and it
+    says so exactly when the server closes the connection after it.
+    """
+    lines = [
+        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
+        f"Content-Type: {content_type}",
+        "Transfer-Encoding: chunked" if content_length is None
+        else f"Content-Length: {content_length}",
+        *extra_headers,
+    ]
+    if close:
+        lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
 
 
-def _encode_text_response(
-    result: "_PlainText", extra_headers: Sequence[str] = ()
-) -> bytes:
-    body = result.text.encode("utf-8")
-    extras = "".join(f"{header}\r\n" for header in extra_headers)
-    head = (
-        f"HTTP/1.1 {result.status} "
-        f"{_STATUS_TEXT.get(result.status, 'Unknown')}\r\n"
-        f"Content-Type: {result.content_type}\r\n"
-        f"Content-Length: {len(body)}\r\n"
-        f"{extras}"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-    return head + body
+async def _within(seconds: float, awaitable: Any) -> Any:
+    """Await ``awaitable``; ``asyncio.TimeoutError`` after ``seconds``.
+
+    ``asyncio.timeout`` (Python 3.11+) bounds the wait on the running
+    task; ``wait_for`` on 3.11 wraps it in a new task instead, about 20 µs
+    more per call -- as much as the whole parse of a small request.
+    """
+    if not hasattr(asyncio, "timeout"):
+        return await asyncio.wait_for(awaitable, seconds)
+    async with asyncio.timeout(seconds):
+        return await awaitable
 
 
 async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str], Optional[Dict[str, Any]]]:
-    """Parse one HTTP request: (method, path, headers, JSON body or None).
+    reader: asyncio.StreamReader, first: bytes
+) -> Tuple[str, str, str, Dict[str, str], Optional[Dict[str, Any]]]:
+    """Parse one HTTP request whose first byte was already read.
 
-    Header names are lower-cased; a repeated header keeps its last value
-    (the subset the service reads -- ``content-length``, ``traceparent``
-    -- has no list semantics).
+    Returns (method, path, version, headers, JSON body or None).  Header
+    names are lower-cased; a repeated header keeps its last value (the
+    subset the service reads -- ``content-length``, ``connection``,
+    ``traceparent`` -- has no list semantics).
     """
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
+        head = first + await reader.readuntil(b"\r\n\r\n")
     except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
         raise _HttpError(400, "malformed HTTP request head")
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split()
     if len(parts) != 3:
         raise _HttpError(400, f"malformed request line: {lines[0]!r}")
-    method, path, _version = parts
+    method, path, version = parts
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -1223,7 +1278,13 @@ async def _read_request(
             raise _HttpError(400, f"invalid JSON body: {error}")
         if not isinstance(body, dict):
             raise _HttpError(400, "JSON body must be an object")
-    return method, path, headers, body
+    return method, path, version, headers, body
+
+
+def _client_closes(version: str, headers: Mapping[str, str]) -> bool:
+    """Whether the client asked to close after this request."""
+    tokens = headers.get("connection", "").lower().split(",")
+    return version != "HTTP/1.1" or "close" in (token.strip() for token in tokens)
 
 
 class AllocationServer:
@@ -1244,6 +1305,8 @@ class AllocationServer:
         #: (see :mod:`repro.service.frontend`).
         self.reuse_port = reuse_port
         self._server: Optional[asyncio.AbstractServer] = None
+        #: Writers of the open connections, closed by :meth:`stop`.
+        self._connections: Set[asyncio.StreamWriter] = set()
 
     @property
     def bound_port(self) -> int:
@@ -1262,9 +1325,17 @@ class AllocationServer:
         )
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting, close every open connection and the socket.
+
+        Idle kept-alive connections must be closed here: from Python 3.12
+        on, ``wait_closed`` waits until every accepted connection is gone.
+        An idle handler sees EOF and returns; one mid-response fails its
+        next write.
+        """
         if self._server is not None:
             self._server.close()
+            for writer in list(self._connections):
+                writer.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -1297,159 +1368,157 @@ class AllocationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve requests on one connection until it is to be closed."""
+        http = self.service.http
+        http.connections_opened += 1
+        http.open_connections += 1
+        self._connections.add(writer)
+        try:
+            while await self._serve_one(reader, writer):
+                pass
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            self._connections.discard(writer)
+            http.open_connections -= 1
+            writer.close()
+
+    async def _serve_one(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Read, dispatch and answer one request; whether to keep going.
+
+        Waiting for the request's first byte is bounded by
+        :data:`IDLE_TIMEOUT_S` (expiry or EOF closes quietly), reading its
+        head and body by :data:`READ_DEADLINE_S` (expiry answers 408).
+        Dispatch and the response write are not bounded.  A request that
+        cannot be read is answered and the connection closed.
+        """
+        try:
+            first = await _within(IDLE_TIMEOUT_S, reader.readexactly(1))
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
+            return False
         label: Optional[str] = None
         trace_ctx: Optional[tracing.SpanContext] = None
         is_v1 = False
+        close = True
         deprecation_headers: Tuple[str, ...] = ()
         started = time.perf_counter()
         try:
             try:
-                method, path, headers, body = await _read_request(reader)
-                label = self._endpoint_label(method, path)
-                bare_path = path.partition("?")[0]
-                is_v1 = bare_path == _API_PREFIX or bare_path.startswith(
-                    _API_PREFIX + "/"
+                method, path, version, headers, body = await _within(
+                    READ_DEADLINE_S, _read_request(reader, first)
                 )
-                if not is_v1 and "(other)" not in label:
-                    # Known route reached by its pre-v1 spelling: serve it,
-                    # but tell the client where the stable API lives.
-                    deprecation_headers = (
-                        "Deprecation: true",
-                        f'Link: <{_API_PREFIX}{bare_path}>; '
-                        'rel="successor-version"',
-                    )
-                # Every request runs inside an ``http.request`` span: a
-                # client-sent traceparent continues that trace, otherwise a
-                # fresh one starts here.  Awaiting the dispatch keeps the
-                # span's contextvar visible to everything downstream on
-                # this task (batcher enqueue, campaign submission).
-                parent = tracing.parse_traceparent(headers.get("traceparent"))
-                with tracing.span(
-                    "http.request", parent=parent, endpoint=label
-                ) as http_span:
-                    trace_ctx = http_span.context
-                    result = await self._dispatch(method, path, headers, body)
-            except StoreError as error:
-                http_error = _HttpError(503, str(error))
-                result = http_error.status, (
-                    http_error.envelope() if is_v1
-                    else {"error": str(http_error)}
+            except asyncio.TimeoutError:
+                is_v1 = True  # the path may be unknown; use the stable shape
+                raise _HttpError(
+                    408, f"request not received within {READ_DEADLINE_S:g}s"
                 )
-            except _HttpError as error:
-                result = error.status, (
-                    error.envelope() if is_v1 else {"error": str(error)}
-                )
-            except Exception as error:  # never kill the accept loop
-                message = f"{type(error).__name__}: {error}"
-                result = 500, (
-                    _HttpError(500, message).envelope() if is_v1
-                    else {"error": message}
-                )
-            extra_headers = (
-                (f"traceparent: {trace_ctx.traceparent()}",) if trace_ctx else ()
-            ) + deprecation_headers
-            if isinstance(result, _StreamingPayloads):
-                status = 200
-                await self._write_stream(writer, result, extra_headers)
-            elif isinstance(result, _StreamingFrames):
-                status = 200
-                await self._write_frames(writer, result, extra_headers)
-            elif isinstance(result, _PlainText):
-                status = result.status
-                writer.write(_encode_text_response(result, extra_headers))
-                await writer.drain()
-            else:
-                status, payload = result
-                writer.write(_encode_response(status, payload, extra_headers))
-                await writer.drain()
-            if label is not None:
-                elapsed = time.perf_counter() - started
-                self.service.observe_request(label, elapsed, status)
-                _REQUEST_LOGGER.info(
-                    "%s %d %.3fms",
-                    label,
-                    status,
-                    elapsed * 1000.0,
-                    extra={
-                        "endpoint": label,
-                        "status": status,
-                        "duration_ms": elapsed * 1000.0,
-                        "trace_id": trace_ctx.trace_id if trace_ctx else None,
-                    },
-                )
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-
-    @staticmethod
-    async def _write_frames(
-        writer: asyncio.StreamWriter,
-        stream: "_StreamingFrames",
-        extra_headers: Sequence[str] = (),
-    ) -> None:
-        """Write binary wire frames with chunked transfer encoding.
-
-        One HTTP chunk per frame, drained as produced -- mirrors
-        :meth:`_write_stream`, with ``application/octet-stream`` bytes in
-        place of NDJSON lines.  Frames may be ``memoryview`` slices of
-        shared-memory pages (the zero-copy raw codec): sizes come from
-        ``nbytes`` (``len`` of a non-byte view counts elements) and each
-        piece is written separately -- concatenating would both copy and
-        raise (``bytes + memoryview`` is a ``TypeError``).
-        """
-        extras = "".join(f"{header}\r\n" for header in extra_headers)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/octet-stream\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            f"{extras}"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("ascii")
-        writer.write(head)
-        await writer.drain()
-        for frame in stream.frames:
-            nbytes = (
-                frame.nbytes if isinstance(frame, memoryview) else len(frame)
+            close = _client_closes(version, headers)
+            label = self._endpoint_label(method, path)
+            bare_path = path.partition("?")[0]
+            is_v1 = bare_path == _API_PREFIX or bare_path.startswith(
+                _API_PREFIX + "/"
             )
-            if not nbytes:
-                continue  # zero-length HTTP chunk would terminate the stream
-            writer.write(f"{nbytes:x}\r\n".encode("ascii"))
-            writer.write(frame)
-            writer.write(b"\r\n")
-            await writer.drain()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+            if not is_v1 and "(other)" not in label:
+                # Known route reached by its pre-v1 spelling: serve it,
+                # but tell the client where the stable API lives.
+                deprecation_headers = (
+                    "Deprecation: true",
+                    f'Link: <{_API_PREFIX}{bare_path}>; '
+                    'rel="successor-version"',
+                )
+            # Every request runs inside an ``http.request`` span: a
+            # client-sent traceparent continues that trace, otherwise a
+            # fresh one starts here.  Awaiting the dispatch keeps the
+            # span's contextvar visible to everything downstream on this
+            # task (batcher enqueue, campaign submission).
+            parent = tracing.parse_traceparent(headers.get("traceparent"))
+            with tracing.span(
+                "http.request", parent=parent, endpoint=label
+            ) as http_span:
+                trace_ctx = http_span.context
+                result = await self._dispatch(method, path, headers, body)
+        except StoreError as error:
+            http_error = _HttpError(503, str(error))
+            result = http_error.status, (
+                http_error.envelope() if is_v1 else {"error": str(http_error)}
+            )
+        except _HttpError as error:
+            result = error.status, (
+                error.envelope() if is_v1 else {"error": str(error)}
+            )
+        except Exception as error:  # never kill the accept loop
+            message = f"{type(error).__name__}: {error}"
+            result = 500, (
+                _HttpError(500, message).envelope() if is_v1
+                else {"error": message}
+            )
+        extra_headers = (
+            (f"traceparent: {trace_ctx.traceparent()}",) if trace_ctx else ()
+        ) + deprecation_headers
+        status = await self._write_response(writer, result, extra_headers, close)
+        self.service.http.requests += 1
+        if label is not None:
+            elapsed = time.perf_counter() - started
+            self.service.observe_request(label, elapsed, status)
+            _REQUEST_LOGGER.info(
+                "%s %d %.3fms",
+                label,
+                status,
+                elapsed * 1000.0,
+                extra={
+                    "endpoint": label,
+                    "status": status,
+                    "duration_ms": elapsed * 1000.0,
+                    "trace_id": trace_ctx.trace_id if trace_ctx else None,
+                },
+            )
+        return not close
 
     @staticmethod
-    async def _write_stream(
+    async def _write_response(
         writer: asyncio.StreamWriter,
-        stream: "_StreamingPayloads",
-        extra_headers: Sequence[str] = (),
-    ) -> None:
-        """Write NDJSON payloads with chunked transfer encoding.
+        result: Any,
+        extra_headers: Sequence[str],
+        close: bool,
+    ) -> int:
+        """Write one dispatch result to the client; returns its status.
 
-        One HTTP chunk per JSON line, drained as produced -- a client can
-        decode cell by cell while later cells are still being encoded.
+        Chunked results are drained chunk by chunk, so a client decodes
+        early cells while later ones are still being encoded.  Chunk sizes
+        come from ``nbytes`` (``len`` of a non-byte ``memoryview`` counts
+        elements), and a view is written in its own ``write`` -- joining
+        it to the size line would copy it.
         """
-        extras = "".join(f"{header}\r\n" for header in extra_headers)
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Transfer-Encoding: chunked\r\n"
-            f"{extras}"
-            "Connection: close\r\n"
-            "\r\n"
-        ).encode("ascii")
-        writer.write(head)
-        await writer.drain()
-        for payload in stream.payloads:
-            line = (json.dumps(payload) + "\n").encode("utf-8")
-            writer.write(f"{len(line):x}\r\n".encode("ascii") + line + b"\r\n")
+        if isinstance(result, _Chunked):
+            writer.write(_response_head(200, result.content_type, extra_headers, close))
+            for chunk in result.chunks:
+                if isinstance(chunk, memoryview):
+                    if chunk.nbytes:
+                        writer.write(f"{chunk.nbytes:x}\r\n".encode("ascii"))
+                        writer.write(chunk)
+                        writer.write(b"\r\n")
+                elif chunk:  # a zero-length chunk would end the stream
+                    writer.write(
+                        f"{len(chunk):x}\r\n".encode("ascii") + chunk + b"\r\n"
+                    )
+                await writer.drain()
+            writer.write(b"0\r\n\r\n")
             await writer.drain()
-        writer.write(b"0\r\n\r\n")
+            return 200
+        if isinstance(result, _PlainText):
+            status, content_type = result.status, result.content_type
+            body = result.text.encode("utf-8")
+        else:
+            status, payload = result
+            content_type, body = "application/json", json.dumps(payload).encode("utf-8")
+        writer.write(
+            _response_head(status, content_type, extra_headers, close, len(body))
+            + body
+        )
         await writer.drain()
+        return status
 
     @staticmethod
     def _scope_of(query: Mapping[str, str]) -> str:
@@ -1480,8 +1549,8 @@ class AllocationServer:
         path, _, raw_query = path.partition("?")
         query = dict(parse_qsl(raw_query, keep_blank_values=True))
         if path == _API_PREFIX or path.startswith(_API_PREFIX + "/"):
-            # The v1 prefix selects the error dialect (see
-            # _handle_connection); the route table itself is shared.
+            # The v1 prefix selects the error dialect (see _serve_one);
+            # the route table itself is shared.
             path = path[len(_API_PREFIX):] or "/"
         if path == "/healthz":
             if method != "GET":
@@ -1620,7 +1689,7 @@ class AllocationServer:
             assert result is not None
             columns_format = query.get("format", "ndjson")
             if columns_format == "ndjson":
-                return _StreamingPayloads(
+                return _ndjson(
                     itertools.chain(
                         [result.meta_payload()], result.cell_payloads()
                     )
@@ -1641,8 +1710,9 @@ class AllocationServer:
                         f"unknown columns codec {codec!r}; "
                         "expected 'zlib' or 'raw'",
                     )
-                return _StreamingFrames(
-                    result.to_binary_frames(dtype, compress=codec == "zlib")
+                return _Chunked(
+                    "application/octet-stream",
+                    result.to_binary_frames(dtype, compress=codec == "zlib"),
                 )
             raise _HttpError(
                 400,
@@ -1680,6 +1750,20 @@ async def _publish_observability_loop(service: AllocationService) -> None:
         await asyncio.sleep(obs_cluster.PUBLISH_INTERVAL_S)
 
 
+def _stop_on_sigterm(stopping: "asyncio.Event") -> None:
+    """Make SIGTERM end :func:`serve` as cleanly as SIGINT does.
+
+    Only the main thread can own signal handlers, and not every platform
+    lets an event loop install them; elsewhere SIGTERM keeps its default.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return
+    try:
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, stopping.set)
+    except NotImplementedError:
+        pass
+
+
 def _start_publisher(service: AllocationService) -> Optional["asyncio.Task"]:
     """The publisher task for a store-backed service (else ``None``)."""
     if service.store is None:
@@ -1710,6 +1794,9 @@ async def serve(
     When the service carries a durable store, unfinished journaled jobs
     are re-adopted right after the bind -- before readiness is announced,
     so "the port answers" implies "recovery has been kicked off".
+
+    SIGTERM (on the main thread) returns normally, after the server has
+    stopped, so the caller can close the service's worker pool.
     """
     server = AllocationServer(service, host=host, port=port, reuse_port=reuse_port)
     await server.start()
@@ -1729,8 +1816,10 @@ async def serve(
     if ready is not None:
         ready.set()
     publisher = _start_publisher(server.service)
+    stopping = asyncio.Event()
+    _stop_on_sigterm(stopping)
     try:
-        await asyncio.Event().wait()  # park until cancelled
+        await stopping.wait()  # park until SIGTERM or cancelled
     finally:
         if publisher is not None:
             publisher.cancel()
@@ -1744,7 +1833,11 @@ def run_server(
     port_file: Optional[str] = None,
     reuse_port: bool = False,
 ) -> int:
-    """Blocking entry point used by ``python -m repro serve``."""
+    """Blocking entry point used by ``python -m repro serve``.
+
+    SIGINT and SIGTERM both stop the server, close the service (its
+    campaign worker processes included) and return 0.
+    """
     try:
         asyncio.run(
             serve(
@@ -1756,10 +1849,11 @@ def run_server(
             )
         )
     except KeyboardInterrupt:
-        print("allocation service stopped", flush=True)
+        pass
     finally:
         if service is not None:
             service.close()
+    print("allocation service stopped", flush=True)
     return 0
 
 

@@ -8,12 +8,16 @@ the analytic solver's.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocator import FORMULATIONS, AllocatorConfig, ReapAllocator
+from repro.core import batch as batch_module
 from repro.core.analytic import solve_analytic
 from repro.core.batch import BatchAllocator, BatchGridResult
 from repro.core.design_point import DesignPoint
@@ -313,3 +317,38 @@ class TestKinkTieBreak:
                 if batch.times_s[0, i] > 1e-6
             }
             assert batch_support == ref_support == {dp.name}
+
+
+def _build_shared_engine() -> None:
+    BatchAllocator.shared(table2_design_points())
+
+
+class TestSharedEngines:
+    def test_forked_child_builds_while_a_parent_thread_holds_the_lock(self):
+        # Campaign workers are forked from a threaded server and build
+        # their policies' engines through the shared registry.
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with batch_module._SHARED_ENGINES_LOCK:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            child = multiprocessing.get_context("fork").Process(
+                target=_build_shared_engine
+            )
+            child.start()
+            child.join(timeout=20.0)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        finally:
+            release.set()
+            holder.join()
+        assert not hung, "the forked child blocked on the inherited registry lock"
+        assert child.exitcode == 0

@@ -14,6 +14,8 @@ from __future__ import annotations
 import io
 import json
 import logging
+import multiprocessing
+import threading
 
 import pytest
 
@@ -174,6 +176,11 @@ class TestTraceparent:
         assert child.span_id != context.span_id
 
 
+def _record_one_span() -> None:
+    with tracing.span("forked.child", parent=None):
+        pass
+
+
 class TestSpans:
     def test_nesting_builds_parentage(self):
         with tracing.capture_spans() as captured:
@@ -222,6 +229,36 @@ class TestSpans:
         spans = tracing.recorder().spans(trace_id)
         assert spans is not None
         assert spans[0]["name"] == "shipped"
+
+    def test_forked_child_records_while_a_parent_thread_holds_the_lock(self):
+        # Campaign workers are forked while the server's event loop may be
+        # filing a request span; the child must not inherit a held lock.
+        recorder = tracing.recorder()
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with recorder._lock:
+                held.set()
+                release.wait(30.0)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        try:
+            assert held.wait(10.0)
+            child = multiprocessing.get_context("fork").Process(
+                target=_record_one_span
+            )
+            child.start()
+            child.join(timeout=20.0)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        finally:
+            release.set()
+            holder.join()
+        assert not hung, "the forked child blocked on the inherited recorder lock"
+        assert child.exitcode == 0
 
 
 class TestStructuredLogs:

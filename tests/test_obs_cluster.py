@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -352,6 +353,19 @@ def _serve(tmp_path, *extra_args):
     raise RuntimeError(f"server never wrote its port:\n{log_path.read_text()}")
 
 
+def _stop(proc):
+    """Stop a server with SIGTERM, which also stops every front-end child.
+
+    SIGKILL would leave a ``--procs`` supervisor's children running.
+    """
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=15)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
 def _get(port, path, headers=None):
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}", headers=headers or {}
@@ -456,8 +470,7 @@ class TestClusterScrapes:
             }
             assert len(up_procs) == 2
         finally:
-            proc.kill()
-            proc.wait(timeout=10)
+            _stop(proc)
 
     def test_trace_resolves_from_any_frontend(self, tmp_path):
         store = tmp_path / "jobs.db"
@@ -486,8 +499,7 @@ class TestClusterScrapes:
             assert spans and spans[0]["trace_id"] == trace_id
             assert first["pid"] in answers  # handled by one of them
         finally:
-            proc.kill()
-            proc.wait(timeout=10)
+            _stop(proc)
 
 
 class TestEventsTimelineDurability:

@@ -9,7 +9,9 @@ honest way to test "the campaign id survives SIGKILL":
   (no re-run of journaled shards);
 - run ``--procs 2`` front-ends on one SO_REUSEPORT port against one
   store and require both processes to answer, the job to complete with
-  no double-run shards, and a clean SIGTERM teardown.
+  no double-run shards, and a clean SIGTERM teardown;
+- SIGTERM a single-process server after a campaign and require exit 0
+  with none of its campaign worker processes left running.
 """
 
 from __future__ import annotations
@@ -115,6 +117,47 @@ def _shard_count(store_path):
         return 0
 
 
+def _live_descendants(pid):
+    """Pids of the running (not zombie) descendants of ``pid``."""
+    found, stack = [], [pid]
+    while stack:
+        parent = stack.pop()
+        try:
+            tasks = os.listdir(f"/proc/{parent}/task")
+        except OSError:
+            continue
+        for task in tasks:
+            try:
+                with open(f"/proc/{parent}/task/{task}/children") as handle:
+                    children = [int(child) for child in handle.read().split()]
+            except OSError:
+                continue
+            found.extend(children)
+            stack.extend(children)
+    return [child for child in found if _running(child)]
+
+
+def _running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _kill_with_workers(proc):
+    """SIGKILL a server and then the campaign workers it leaves behind."""
+    workers = _live_descendants(proc.pid)
+    proc.kill()
+    proc.wait(timeout=10)
+    for pid in workers:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 @pytest.fixture(scope="module")
 def local_reference():
     """The single-process ground truth the recovered run must equal."""
@@ -143,8 +186,7 @@ class TestKillAndRecover:
                 time.sleep(0.02)
             assert _shard_count(store) >= 1
         finally:
-            proc.kill()
-            proc.wait(timeout=10)
+            _kill_with_workers(proc)
 
         proc, port = _serve(
             tmp_path, "--store", str(store), "--campaign-workers", "2"
@@ -156,8 +198,7 @@ class TestKillAndRecover:
                 f"http://127.0.0.1:{port}/v1/campaign/{campaign_id}/columns"
             ).read()
         finally:
-            proc.kill()
-            proc.wait(timeout=10)
+            _kill_with_workers(proc)
 
         lines = [line for line in raw.split(b"\n") if line.strip()]
         from repro.simulation.fleet import FleetResult
@@ -236,3 +277,32 @@ class TestMultiProcessFrontend:
         _stdout, stderr = proc.communicate(timeout=30)
         assert proc.returncode == 2
         assert b"--store" in stderr
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="needs Linux /proc"
+)
+class TestSignalShutdown:
+    def test_sigterm_exits_zero_and_stops_campaign_workers(self, tmp_path):
+        proc, port = _serve(tmp_path, "--campaign-workers", "2")
+        try:
+            submitted = _submit(
+                port, CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
+            )
+            assert _wait_done(port, submitted["campaign_id"])["status"] == "done"
+            workers = _live_descendants(proc.pid)
+            assert workers, "the campaign ran without worker processes"
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=15) == 0
+            deadline = time.monotonic() + 5.0
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, (
+                    f"workers outlived the server: "
+                    f"{[pid for pid in workers if _running(pid)]}"
+                )
+                time.sleep(0.05)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)

@@ -6,8 +6,9 @@ against the scalar allocator plus the edge cases: empty flush, lone request
 on a window timeout, oversize burst splitting), the full HTTP round trip
 client -> server -> BatchAllocator -> client with nothing beyond the
 standard library, the protocol's error mapping (400 JSON bodies for
-malformed requests, 404 for unknown endpoints -- never a 500 traceback)
-and the campaign endpoints: submit over HTTP, poll, stream chunked
+malformed requests, 404 for unknown endpoints -- never a 500 traceback),
+persistent connections (reuse, close rules, idle and read timeouts, a
+clean stop with idle clients) and the campaign endpoints: submit over HTTP, poll, stream chunked
 NDJSON columns back, equal to the local fleet run.
 """
 
@@ -16,7 +17,11 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
 import socket
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -25,6 +30,8 @@ from repro.core.allocator import ReapAllocator
 from repro.core.batch import BatchAllocator
 from repro.core.design_point import DesignPoint
 from repro.data.table2 import table2_design_points
+from repro.service import client as client_module
+from repro.service import server as server_module
 from repro.service.batcher import EngineRegistry, MicroBatcher, solve_batch
 from repro.service.cache import AllocationCache, LatencyRecorder
 from repro.service.client import AllocationClient, ServiceError
@@ -319,7 +326,8 @@ class TestHttpRoundTrip:
 
     @pytest.fixture()
     def client(self, server):
-        return AllocationClient(port=server.port)
+        with AllocationClient(port=server.port) as client:
+            yield client
 
     def test_health(self, client):
         payload = client.health()
@@ -486,6 +494,295 @@ class TestHttpErrorMapping:
         assert "error" in error
 
 
+def _read_response(sock) -> "tuple[bytes, bytes]":
+    """Read one Content-Length framed response off ``sock``: (head, body)."""
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        chunk = sock.recv(65536)
+        assert chunk, f"connection closed mid-head: {raw!r}"
+        raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    length = int(
+        next(
+            line.split(b":", 1)[1]
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        )
+    )
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    return head, body
+
+
+def _reads_eof(sock, timeout_s: float = 2.0) -> bool:
+    """Whether the peer closed ``sock`` (nothing left to read but EOF)."""
+    sock.settimeout(timeout_s)
+    try:
+        return sock.recv(65536) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestKeepAlive:
+    """Persistent connections: reuse, close rules, timeouts, stop()."""
+
+    REQUEST = CampaignRequest(hours=24, alphas=(1.0,), baselines=("DP1",))
+
+    @pytest.fixture(scope="class")
+    def server(self, points):
+        service = AllocationService(default_points=points, window_s=0.001)
+        handle = start_in_thread(service)
+        yield handle
+        handle.stop()
+        service.close()
+
+    @staticmethod
+    def _opened(server) -> int:
+        return server.service.http.connections_opened
+
+    def test_calls_on_one_client_share_one_connection(self, server):
+        before = self._opened(server)
+        with AllocationClient(port=server.port) as client:
+            for budget in (1.0, 2.0, 3.0, 2.0, 1.0):
+                client.allocate(AllocationRequest(budget))
+            client.health()
+            client.metrics_text()
+            counters = client.stats()["http"]
+        assert self._opened(server) - before == 1
+        assert counters["requests"] >= 7
+        assert counters["open_connections"] >= 1
+        assert counters["connections_opened"] == self._opened(server)
+
+    def test_reconnects_after_idle_timeout(self, server, monkeypatch):
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.1)
+        before = self._opened(server)
+        client = AllocationClient(port=server.port)
+        client.health()
+        idle = client._local.connection.sock
+        assert _reads_eof(idle)  # the server closed it after 0.1 s
+        assert client.health()["status"] == "ok"
+        assert self._opened(server) - before == 2
+        client.close()
+
+    def test_retries_once_when_a_reused_connection_was_closed(
+        self, server, monkeypatch
+    ):
+        # Skip the idle check so the request really goes out on the dead
+        # connection and fails before any response byte arrives.
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.1)
+        monkeypatch.setattr(client_module, "_dropped", lambda connection: False)
+        client = AllocationClient(port=server.port)
+        client.health()
+        assert _reads_eof(client._local.connection.sock)
+        before = self._opened(server)
+        response = client.allocate(AllocationRequest(4.5))
+        assert response.budget_feasible
+        assert self._opened(server) - before == 1
+        client.close()
+
+    def test_error_answers_keep_the_connection(self, server):
+        client = AllocationClient(port=server.port)
+        client.health()
+        before = self._opened(server)
+        with pytest.raises(ServiceError) as not_found:
+            client.campaign_status("nope")
+        assert not_found.value.status == 404
+        with pytest.raises(ServiceError) as bad:
+            client._call("POST", "/v1/allocate", {"alpha": 1.0})
+        assert bad.value.status == 400
+        with pytest.raises(ServiceError) as conflict:
+            client.delete_campaign(self._running_campaign(server))
+        assert conflict.value.status == 409
+        assert client.allocate(AllocationRequest(3.5)).budget_feasible
+        assert self._opened(server) == before
+        client.close()
+
+    @staticmethod
+    def _running_campaign(server) -> str:
+        """A campaign id the service reports as running (never finishes)."""
+        from repro.service.server import CampaignJob
+
+        job = CampaignJob("stuck", CampaignRequest(hours=24))
+        job.status = "running"
+        server.service._campaigns[job.campaign_id] = job
+        return job.campaign_id
+
+    @pytest.mark.parametrize(
+        "request_line, headers",
+        [
+            (b"GET /v1/healthz HTTP/1.1", b"Connection: close\r\n"),
+            (b"GET /v1/healthz HTTP/1.1", b"Connection: Keep-Alive, Close\r\n"),
+            (b"GET /v1/healthz HTTP/1.0", b""),
+        ],
+    )
+    def test_client_requested_close(self, server, request_line, headers):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(request_line + b"\r\n" + headers + b"\r\n")
+            head, body = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body)["status"] == "ok"
+            assert _reads_eof(sock)
+
+    def test_kept_alive_answer_omits_connection_close(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            for _ in range(2):
+                sock.sendall(b"GET /v1/nope HTTP/1.1\r\n\r\n")
+                head, body = _read_response(sock)
+                assert head.startswith(b"HTTP/1.1 404")
+                assert b"connection:" not in head.lower()
+                assert json.loads(body)["error"]["code"] == "not_found"
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            head, _ = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200")
+
+    def test_unreadable_request_is_answered_then_closed(self, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/allocate HTTP/1.1\r\nContent-Length: x\r\n\r\n")
+            head, body = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 400")
+            assert b"\r\nConnection: close" in head
+            assert _reads_eof(sock)
+
+    def test_partial_head_gets_408_after_the_read_deadline(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(b"POST /v1/allocate HTTP/1.1\r\nContent-Le")
+            head, body = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body)["error"]["code"] == "request_timeout"
+            assert _reads_eof(sock)
+
+    def test_partial_body_gets_408_after_the_read_deadline(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "READ_DEADLINE_S", 0.2)
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(
+                b"POST /v1/allocate HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"ene"
+            )
+            head, _ = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 408")
+            assert _reads_eof(sock)
+
+    def test_abandoned_stream_does_not_break_the_next_call(self, server):
+        client = AllocationClient(port=server.port, timeout_s=60.0)
+        submitted = client.submit_campaign(self.REQUEST)
+        client.wait_for_campaign(submitted.campaign_id, timeout_s=60, poll_s=0.01)
+        stream = client.campaign_payloads(submitted.campaign_id)
+        assert next(stream)["trace_hours"] == 24
+        # While the stream holds its connection, calls use another one.
+        assert client.campaign_status(submitted.campaign_id).status == "done"
+        stream.close()
+        assert client.campaign_status(submitted.campaign_id).status == "done"
+        result = client.campaign_result(submitted.campaign_id)
+        assert result.num_cells == self.REQUEST.num_cells
+        assert client.health()["status"] == "ok"
+        client.close()
+
+    def test_unread_response_is_not_reused(self, server):
+        client = AllocationClient(port=server.port)
+        with client._request("GET", "/v1/healthz"):
+            pass  # the body is left unread on the socket
+        assert client.health()["status"] == "ok"
+        client.close()
+
+    def test_threads_share_one_client(self, server, points):
+        # More threads than cores and a short switch interval, so a slot
+        # shared by mistake would interleave two calls on one socket.
+        threads_n = 4
+        client = AllocationClient(port=server.port)
+        budgets = [0.5 + 0.25 * index for index in range(32)]
+        results = {}
+        errors = []
+
+        def work(offset):
+            try:
+                for budget in budgets[offset::threads_n]:
+                    results[budget] = client.allocate(AllocationRequest(budget))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+            finally:
+                client.close()  # this thread's connection
+
+        before = self._opened(server)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(offset,))
+                for offset in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert self._opened(server) - before == threads_n
+        for budget in budgets:
+            reference = scalar_solve(AllocationRequest(budget), points)
+            assert results[budget].objective == pytest.approx(
+                reference.objective, abs=1e-9
+            )
+
+    def test_metrics_count_connections(self, server):
+        with AllocationClient(port=server.port) as client:
+            text = client.metrics_text()
+        assert "# TYPE repro_http_connections_total counter" in text
+
+    def test_stop_closes_idle_connections_itself(self, points):
+        # Closing must not wait for asyncio.run to cancel the handlers:
+        # Python 3.12+ wait_closed() waits for idle connections first.
+        async def scenario():
+            service = AllocationService(default_points=points, window_s=0.001)
+            server = server_module.AllocationServer(service)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port
+            )
+            writer.write(b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            head = await reader.readuntil(b"\r\n\r\n")
+            length = int(head.lower().split(b"content-length:")[1].split()[0])
+            await reader.readexactly(length)
+            await asyncio.wait_for(server.stop(), 1.0)
+            try:
+                return await asyncio.wait_for(reader.read(), 1.0)
+            finally:
+                writer.close()
+                service.close()
+
+        assert asyncio.run(scenario()) == b""
+
+    def test_stop_closes_idle_connections_promptly(self, points, caplog):
+        service = AllocationService(default_points=points, window_s=0.001)
+        handle = start_in_thread(service)
+        client = AllocationClient(port=handle.port)
+        client.health()
+        idle = client._local.connection.sock
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            started = time.monotonic()
+            handle.stop()
+            elapsed = time.monotonic() - started
+        service.close()
+        assert elapsed < 1.0
+        assert not handle._thread.is_alive()
+        assert _reads_eof(idle)
+        logged = "\n".join(
+            record.getMessage() + str(record.exc_info) for record in caplog.records
+        )
+        assert "CancelledError" not in logged
+        assert "Exception in callback" not in logged
+        client.close()
+
+
 class TestCampaignCodecs:
     def test_campaign_request_round_trip(self):
         request = CampaignRequest(
@@ -567,7 +864,8 @@ class TestCampaignHttp:
 
     @pytest.fixture(scope="class")
     def client(self, server):
-        return AllocationClient(port=server.port, timeout_s=120.0)
+        with AllocationClient(port=server.port, timeout_s=120.0) as client:
+            yield client
 
     @pytest.fixture(scope="class")
     def finished(self, client):
@@ -793,8 +1091,8 @@ class TestPlanningCampaignHttp:
             default_points=points, campaign_workers=2
         )
         with start_in_thread(service) as handle:
-            client = AllocationClient(port=handle.port, timeout_s=120.0)
-            status, remote = client.run_campaign(self.REQUEST, timeout_s=120)
+            with AllocationClient(port=handle.port, timeout_s=120.0) as client:
+                status, remote = client.run_campaign(self.REQUEST, timeout_s=120)
         service.close()
         assert status.status == "done"
         assert set(status.policy_names) == {
@@ -831,7 +1129,8 @@ class TestCampaignDelete:
 
     @pytest.fixture(scope="class")
     def client(self, server):
-        return AllocationClient(port=server.port, timeout_s=60.0)
+        with AllocationClient(port=server.port, timeout_s=60.0) as client:
+            yield client
 
     def test_deleted_campaign_is_gone(self, client):
         request = CampaignRequest(hours=4, alphas=(1.0,), baselines=())
@@ -870,9 +1169,9 @@ class TestCampaignDelete:
 
     def test_delete_verb_on_the_client_cli(self, server, capsys):
         request = CampaignRequest(hours=4, alphas=(1.0,), baselines=())
-        client = AllocationClient(port=server.port, timeout_s=60.0)
-        submitted = client.submit_campaign(request)
-        client.wait_for_campaign(submitted.campaign_id, timeout_s=60)
+        with AllocationClient(port=server.port, timeout_s=60.0) as client:
+            submitted = client.submit_campaign(request)
+            client.wait_for_campaign(submitted.campaign_id, timeout_s=60)
         exit_code = client_main([
             "--port", str(server.port), "campaign", "delete",
             submitted.campaign_id,
