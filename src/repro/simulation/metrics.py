@@ -143,46 +143,6 @@ class CampaignColumns:
             )
         return outcomes
 
-    @classmethod
-    def concat(cls, parts: Sequence["CampaignColumns"]) -> "CampaignColumns":
-        """Merge period-sharded column bundles back into one campaign.
-
-        ``parts`` are consecutive time slices of one campaign (e.g. produced
-        by the sharded runner of :mod:`repro.service.shard`, one slice per
-        worker process); they are concatenated along the period axis in the
-        given order.  The per-DP time matrix is kept only when every part
-        carries one over the same design points -- mixing labelled and
-        unlabelled parts would silently misalign :meth:`to_outcomes`.
-        """
-        if not parts:
-            raise ValueError("need at least one column bundle to concatenate")
-        if len(parts) == 1:
-            return parts[0]
-        names = parts[0].design_point_names
-        keep_times = all(
-            part.design_point_names == names
-            and part.times_by_design_point_s is not None
-            for part in parts
-        )
-        return cls(
-            period_index=np.concatenate([p.period_index for p in parts]),
-            energy_budget_j=np.concatenate([p.energy_budget_j for p in parts]),
-            energy_consumed_j=np.concatenate([p.energy_consumed_j for p in parts]),
-            active_time_s=np.concatenate([p.active_time_s for p in parts]),
-            off_time_s=np.concatenate([p.off_time_s for p in parts]),
-            windows_total=np.concatenate([p.windows_total for p in parts]),
-            windows_observed=np.concatenate([p.windows_observed for p in parts]),
-            windows_correct=np.concatenate([p.windows_correct for p in parts]),
-            objective_value=np.concatenate([p.objective_value for p in parts]),
-            expected_accuracy=np.concatenate([p.expected_accuracy for p in parts]),
-            design_point_names=names if keep_times else (),
-            times_by_design_point_s=(
-                np.concatenate([p.times_by_design_point_s for p in parts])
-                if keep_times
-                else None
-            ),
-        )
-
     # --- JSON codec -------------------------------------------------------------
     def to_json_dict(self) -> Dict[str, object]:
         """Encode as a JSON-ready dictionary (the campaign wire format).
@@ -239,28 +199,12 @@ class CampaignColumns:
         )
 
     # --- binary codec -----------------------------------------------------------
-    def payload_nbytes(self, dtype: str = "<f8") -> int:
-        """Size of the uncompressed binary column payload, in bytes.
-
-        This is what the raw codec puts on the wire after the header, and
-        what the shared-memory arena maps per cell -- the IPC accounting
-        figure :mod:`benchmarks.bench_shard` compares against pickles.
-        """
-        float_size = int(np.dtype(dtype).itemsize)
-        int_columns = sum(1 for _, kind in _BINARY_COLUMN_LAYOUT if kind == "int")
-        float_columns = len(_BINARY_COLUMN_LAYOUT) - int_columns
-        per_period = int_columns * 8 + float_columns * float_size
-        if self.times_by_design_point_s is not None:
-            per_period += len(self.design_point_names) * float_size
-        return len(self) * per_period
-
     def _column_buffers(self, dtype: str):
         """Yield each column's wire buffer in frame order.
 
-        Columns already stored contiguously at the wire dtype -- notably
-        the shared-memory arena's zero-copy views -- are yielded as
-        memoryviews over their existing storage; anything else is cast and
-        copied once.
+        Columns already stored contiguously at the wire dtype are yielded
+        as memoryviews over their existing storage; anything else is cast
+        and copied once.
         """
         def wire_buffer(array: np.ndarray, wire_dtype: str):
             array = np.asarray(array)

@@ -12,8 +12,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -64,7 +62,6 @@ class TestExamples:
         assert "served allocations" in output
         assert "16/16 answers served from the LRU cache" in output
 
-    @pytest.mark.slow
     def test_solar_month_study(self, capsys):
         output = _run_example("solar_month_study.py", ["--month", "9"], capsys)
         assert "Month-long campaign" in output

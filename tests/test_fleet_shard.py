@@ -19,7 +19,6 @@ from repro.harvesting.solar_cell import HarvestScenario, SolarCellModel
 from repro.harvesting.traces import SolarTrace
 from repro.service.shard import run_sharded_campaign, shard_cells
 from repro.simulation.fleet import CampaignConfig, FleetCampaign
-from repro.simulation.metrics import CampaignColumns
 from repro.simulation.policies import ReapPolicy, StaticPolicy
 from repro.simulation.simulator import HarvestingCampaign
 
@@ -44,15 +43,11 @@ def _policies(points):
     ]
 
 
-class StatefulPolicy(ReapPolicy):
-    """A policy with cross-period state (module-level so it pickles)."""
+class CrashingPolicy(ReapPolicy):
+    """A policy that dies mid-cell (module-level so workers can unpickle it)."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.seen = 0
-
-    def reset(self):  # cross-period state: time slicing would reset it
-        self.seen = 0
+    def allocate_arrays(self, budgets_j):
+        raise RuntimeError("boom: simulated worker crash")
 
 
 def _assert_cells_match(sharded, single):
@@ -95,75 +90,6 @@ class TestShardCells:
             shard_cells(1, 1, 0)
 
 
-class TestCampaignColumnsConcat:
-    def test_concat_round_trips_a_split(self, points, trace):
-        campaign = FleetCampaign(HarvestScenario())
-        result = campaign.run(_policies(points)[:1], trace).result(0)
-        columns = result.columns
-        parts = [
-            CampaignColumns(
-                period_index=columns.period_index[lo:hi],
-                energy_budget_j=columns.energy_budget_j[lo:hi],
-                energy_consumed_j=columns.energy_consumed_j[lo:hi],
-                active_time_s=columns.active_time_s[lo:hi],
-                off_time_s=columns.off_time_s[lo:hi],
-                windows_total=columns.windows_total[lo:hi],
-                windows_observed=columns.windows_observed[lo:hi],
-                windows_correct=columns.windows_correct[lo:hi],
-                objective_value=columns.objective_value[lo:hi],
-                expected_accuracy=columns.expected_accuracy[lo:hi],
-                design_point_names=columns.design_point_names,
-                times_by_design_point_s=columns.times_by_design_point_s[lo:hi],
-            )
-            for lo, hi in ((0, 30), (30, 31), (31, len(columns)))
-        ]
-        merged = CampaignColumns.concat(parts)
-        np.testing.assert_array_equal(merged.period_index, columns.period_index)
-        np.testing.assert_allclose(
-            merged.objective_value, columns.objective_value, atol=0
-        )
-        np.testing.assert_allclose(
-            merged.times_by_design_point_s,
-            columns.times_by_design_point_s,
-            atol=0,
-        )
-
-    def test_concat_drops_times_on_mixed_labelling(self):
-        plain = CampaignColumns(
-            period_index=np.arange(2),
-            energy_budget_j=np.ones(2),
-            energy_consumed_j=np.ones(2),
-            active_time_s=np.ones(2),
-            off_time_s=np.ones(2),
-            windows_total=np.ones(2, dtype=int),
-            windows_observed=np.ones(2, dtype=int),
-            windows_correct=np.ones(2),
-            objective_value=np.ones(2),
-            expected_accuracy=np.ones(2),
-        )
-        labelled = CampaignColumns(
-            period_index=np.arange(2),
-            energy_budget_j=np.ones(2),
-            energy_consumed_j=np.ones(2),
-            active_time_s=np.ones(2),
-            off_time_s=np.ones(2),
-            windows_total=np.ones(2, dtype=int),
-            windows_observed=np.ones(2, dtype=int),
-            windows_correct=np.ones(2),
-            objective_value=np.ones(2),
-            expected_accuracy=np.ones(2),
-            design_point_names=("DP1",),
-            times_by_design_point_s=np.ones((2, 1)),
-        )
-        merged = CampaignColumns.concat([plain, labelled])
-        assert merged.times_by_design_point_s is None
-        assert len(merged) == 4
-
-    def test_concat_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CampaignColumns.concat([])
-
-
 class TestShardedCampaign:
     def test_cell_sharded_closed_loop_matches_single_process(self, points, trace):
         scenarios = [
@@ -193,54 +119,77 @@ class TestShardedCampaign:
                 reference.total_windows_correct, abs=0
             )
 
-    def test_time_sharded_open_loop_matches_single_process(self, points, trace):
+    def test_sampled_mode_windows_match_bit_for_bit(self, points, trace):
+        from repro.simulation.device import DeviceConfig
+
         scenarios = [HarvestScenario()]
-        policies = [ReapPolicy(points, alpha=1.0)]
+        policies = _policies(points)[:2]
+        config = CampaignConfig(
+            use_battery=True,
+            device=DeviceConfig(recognition_mode="sampled", seed=42),
+        )
+        single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
+        sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=2)
+        for scenario_index, policy_index, cell in sharded:
+            reference = single.result(policy_index, scenario_index)
+            # Per period, not just in total: cell identity implies
+            # identical Bernoulli streams.
+            np.testing.assert_array_equal(
+                np.asarray(cell.columns.windows_correct),
+                np.asarray(reference.columns.windows_correct),
+            )
+
+    def test_open_loop_grid_smaller_than_jobs_matches_single_process(
+        self, points, trace
+    ):
+        # Two cells on three workers: one chunk per cell, no idle splitting.
+        scenarios = [HarvestScenario()]
+        policies = _policies(points)[:2]
         config = CampaignConfig(use_battery=False)
         single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
         sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=3)
-        merged = sharded.result(0).columns
-        reference = single.result(0).columns
-        np.testing.assert_array_equal(merged.period_index, reference.period_index)
-        np.testing.assert_allclose(
-            merged.objective_value, reference.objective_value, atol=1e-9
-        )
-        np.testing.assert_allclose(
-            merged.times_by_design_point_s,
-            reference.times_by_design_point_s,
-            atol=1e-9,
-        )
+        for policy_index in range(len(policies)):
+            merged = sharded.result(policy_index).columns
+            reference = single.result(policy_index).columns
+            np.testing.assert_array_equal(
+                merged.period_index, reference.period_index
+            )
+            np.testing.assert_allclose(
+                merged.objective_value, reference.objective_value, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                merged.times_by_design_point_s,
+                reference.times_by_design_point_s,
+                atol=1e-9,
+            )
 
-    def test_single_closed_loop_cell_cannot_time_shard(self, points, trace):
-        # One closed-loop cell with many workers: the runner must fall back
-        # to an exact (single-shard) run rather than split the recurrence.
+    def test_single_closed_loop_cell_runs_in_process(self, points, trace):
+        # One closed-loop cell with many workers: the runner takes the
+        # in-process shortcut rather than start a pool for one task.
         scenarios = [HarvestScenario()]
         policies = [ReapPolicy(points, alpha=1.0)]
         config = CampaignConfig(use_battery=True)
         single = run_sharded_campaign(scenarios, policies, trace, config, jobs=1)
         sharded = run_sharded_campaign(scenarios, policies, trace, config, jobs=4)
+        assert sharded.scan is not None  # the in-process engine's own scan
         _assert_cells_match(sharded, single)
+
+    def test_worker_error_surfaces_as_raised(self, points, trace):
+        policies = [ReapPolicy(points, alpha=1.0), CrashingPolicy(points)]
+        with pytest.raises(RuntimeError, match="boom"):
+            run_sharded_campaign(
+                [HarvestScenario()],
+                policies,
+                trace,
+                CampaignConfig(use_battery=True),
+                jobs=2,
+            )
 
     def test_rejects_bad_jobs(self, points, trace):
         with pytest.raises(ValueError):
             run_sharded_campaign(
                 [HarvestScenario()], _policies(points)[:1], trace, jobs=0
             )
-
-    def test_stateful_policy_refuses_time_sharding(self, points, trace):
-        from repro.service.shard import _time_shardable
-
-        config = CampaignConfig(use_battery=False)
-        assert _time_shardable(config, [ReapPolicy(points)])
-        assert not _time_shardable(config, [StatefulPolicy(points)])
-        # The stateful cell still runs exactly (cell-sharded, one chunk).
-        single = run_sharded_campaign(
-            [HarvestScenario()], [StatefulPolicy(points)], trace, config, jobs=1
-        )
-        sharded = run_sharded_campaign(
-            [HarvestScenario()], [StatefulPolicy(points)], trace, config, jobs=3
-        )
-        _assert_cells_match(sharded, single)
 
 
 class TestPerScenarioBattery:

@@ -337,7 +337,6 @@ class TestHttpRoundTrip:
         assert payload["workers"] >= 1
         assert payload["campaign_workers"] >= 1
         assert payload["backend"] in ("numpy", "compiled", "float32")
-        assert payload["shared_memory"] in ("auto", "on", "off")
 
     def test_allocate_matches_scalar_and_caches(self, client, points):
         request = AllocationRequest(5.0, alpha=1.0)
@@ -912,6 +911,19 @@ class TestCampaignHttp:
                 cell.total_energy_consumed_j
                 - reference.total_energy_consumed_j
             ) <= 1e-9
+
+    def test_raw_codec_carries_the_same_cells_as_zlib(self, client, finished):
+        submitted, _ = finished
+        raw = client.campaign_result(
+            submitted.campaign_id, binary=True, codec="raw"
+        )
+        deflated = client.campaign_result(submitted.campaign_id, binary=True)
+        assert raw.num_cells == deflated.num_cells == self.REQUEST.num_cells
+        for scenario_index, policy_index, cell in raw:
+            reference = deflated.result(policy_index, scenario_index)
+            np.testing.assert_array_equal(
+                cell.objective_values(), reference.objective_values()
+            )
 
     def test_stream_is_chunked_ndjson(self, server, finished):
         submitted, _ = finished
